@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use gbkmv_core::dataset::Record;
 use gbkmv_core::index::{ContainmentIndex, GbKmvConfig, GbKmvIndex};
 use gbkmv_core::variants::{KmvConfig, KmvIndex};
 use gbkmv_datagen::profiles::DatasetProfile;
@@ -13,16 +14,12 @@ use gbkmv_lsh::ensemble::{LshEnsembleConfig, LshEnsembleIndex};
 
 fn query_latency(c: &mut Criterion) {
     let dataset = DatasetProfile::Enron.generate_scaled(4);
-    let queries: Vec<Vec<u32>> = (0..10)
-        .map(|i| dataset.record(i * 17 % dataset.len()).elements().to_vec())
+    let queries: Vec<Record> = (0..10)
+        .map(|i| dataset.record(i * 17 % dataset.len()).clone())
         .collect();
     let t_star = 0.5;
 
     let gbkmv = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.10));
-    let gbkmv_scan = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(0.10).candidate_filter(false),
-    );
     let kmv = KmvIndex::build(&dataset, KmvConfig::with_space_fraction(0.10));
     let lshe = LshEnsembleIndex::build(
         &dataset,
@@ -32,13 +29,19 @@ fn query_latency(c: &mut Criterion) {
     let freqset = FrequentSetIndex::build(&dataset);
 
     let mut group = c.benchmark_group("query_latency");
-    let run = |index: &dyn ContainmentIndex, queries: &[Vec<u32>]| {
+    let run = |index: &dyn ContainmentIndex, queries: &[Record]| {
         for q in queries {
-            black_box(index.search(q, t_star));
+            black_box(index.search(q.elements(), t_star));
         }
     };
     group.bench_function("gbkmv_filtered", |b| b.iter(|| run(&gbkmv, &queries)));
-    group.bench_function("gbkmv_scan", |b| b.iter(|| run(&gbkmv_scan, &queries)));
+    group.bench_function("gbkmv_scan", |b| {
+        b.iter(|| {
+            for q in &queries {
+                black_box(gbkmv.search_scan(q, t_star));
+            }
+        })
+    });
     group.bench_function("kmv", |b| b.iter(|| run(&kmv, &queries)));
     group.bench_function("lshe_128", |b| b.iter(|| run(&lshe, &queries)));
     group.bench_function("ppjoin_exact", |b| b.iter(|| run(&ppjoin, &queries)));

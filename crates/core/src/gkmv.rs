@@ -219,7 +219,7 @@ impl GKmvSketch {
     /// Builds the G-KMV sketch from a borrowed element slice (duplicates are
     /// tolerated — hash values are deduplicated), skipping elements for which
     /// `excluded` returns true. This is the allocation-light path used by
-    /// [`crate::index::GbKmvIndex::search_elements`].
+    /// [`crate::index::ContainmentIndex::search`].
     pub fn from_elements_excluding<F>(
         elements: &[ElementId],
         hasher: &Hasher64,

@@ -44,7 +44,6 @@ impl GbKmvIndex {
             config.shards,
             sketcher.layout().words(),
             sketcher.layout().size(),
-            config.use_candidate_filter,
             config.posting_format,
             config.threads,
         );
@@ -86,9 +85,7 @@ impl GbKmvIndex {
     /// parameters, *identical* to one; the tests pin this).
     pub fn insert(&mut self, record: &Record) -> RecordId {
         let sketch = self.sketcher.sketch_record(record);
-        let id = self
-            .sharded
-            .insert(&sketch, self.config.use_candidate_filter);
+        let id = self.sharded.insert(&sketch);
         self.summary.space_used_elements += self.sketcher.sketch_cost_elements(&sketch);
         self.total_elements += record.len();
         self.summary.space_used_fraction =

@@ -4,33 +4,21 @@
 //! Given a query sketch and one [`Shard`], the stage walks the query's
 //! signature-hash postings (accumulating `K∩` per touched slot) and its
 //! buffer-bit postings (registering the remaining candidates) into a
-//! [`QueryScratch`]. Each posting list is truncated to the stage's slot
-//! range *before* traversal — the prune stage's live-prefix cutoff, and in
-//! the intra-query parallel path additionally the worker's slot sub-range —
-//! so a candidate outside the range is never touched, let alone finished.
-//! Truncation goes through the posting layer either way; *how* the
-//! surviving slots reach the scratch is the [`FinishKernel`] knob
-//! ([`crate::index::GbKmvConfig::finish_kernel`]):
+//! [`QueryScratch`]. Each posting list is truncated at the prune stage's
+//! live-prefix cutoff *before* traversal, so a candidate below the size
+//! threshold is never touched, let alone finished.
 //!
-//! * [`FinishKernel::Vectorized`] (the default) walks
-//!   [`PostingList::for_each_chunk_in_range`](crate::index::postings::PostingList::for_each_chunk_in_range):
-//!   each surviving block arrives as one ascending
-//!   [`PostingChunk`] — a decoded slot run (4-lane unrolled gap prefix
-//!   sum, or a copy-free slice cut on the raw format) consumed by the
-//!   scratch's batched slice methods, or an undecoded bitmap mask
-//!   consumed by the mask-form methods — notably the branch-free
-//!   lookup-only passes
-//!   ([`QueryScratch::add_signature_hits_if_candidate`] and its mask
-//!   form's linear window sweep).
-//! * [`FinishKernel::Scalar`] walks
-//!   [`PostingList::for_each_in_range`](crate::index::postings::PostingList::for_each_in_range)
-//!   with one closure call per slot — the original finish loop, kept as
-//!   the correctness oracle the agreement proptests pin the vectorized
-//!   kernel against.
-//!
-//! Both kernels visit the identical slot sequence in the identical order,
-//! so candidate sets, `K∩` counts and first-touch order — and with them
-//! every downstream answer — are bit-identical.
+//! The walk goes through
+//! [`PostingList::for_each_chunk_in_range`](crate::index::postings::PostingList::for_each_chunk_in_range):
+//! each surviving block arrives as one ascending [`PostingChunk`] — a
+//! decoded slot run (4-lane unrolled gap prefix sum, or a copy-free slice
+//! cut on the raw format) consumed by the scratch's batched slice methods,
+//! or an undecoded bitmap mask consumed by the mask-form methods — notably
+//! the branch-free lookup-only passes
+//! ([`QueryScratch::add_signature_hits_if_candidate`] and its mask form's
+//! linear window sweep). The batched methods leave the scratch exactly as
+//! the per-slot calls over the same slot sequence would, first-touch order
+//! included (pinned by the scratch's unit tests).
 //!
 //! # Prefix-filtered minting
 //!
@@ -55,29 +43,12 @@
 //!
 //! [`SketchStore`]: crate::store::SketchStore
 
-use serde::{Deserialize, Serialize};
-
 use crate::buffer::ElementBuffer;
 use crate::gbkmv::GbKmvRecordSketch;
 use crate::index::postings::PostingChunk;
 use crate::index::sharded::Shard;
 use crate::scratch::QueryScratch;
 use crate::store::SketchStore;
-
-/// The accumulate kernel of the candidates stage, chosen per index via
-/// [`crate::index::GbKmvConfig::finish_kernel`]. The kernel never changes
-/// any answer — both variants feed the scratch the identical slot sequence
-/// — only how many slots move per instruction. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum FinishKernel {
-    /// One closure call per posting slot — the original finish loop, kept
-    /// as the correctness oracle of the agreement proptests.
-    Scalar,
-    /// Batched: one decoded block per call into the scratch's unrolled
-    /// accumulate methods (the default).
-    #[default]
-    Vectorized,
-}
 
 /// Borrowed scalar view of a query sketch, so the inner loops never touch
 /// the `GbKmvRecordSketch` struct.
@@ -106,57 +77,54 @@ impl<'a> QuerySketchView<'a> {
 }
 
 /// Walks the query's signature and buffer postings over the slot range
-/// `lo..hi` of one shard, accumulating into `scratch` (begins a fresh epoch
-/// for the shard). `hi` is the prune stage's cutoff (pass `shard.len()` to
-/// disable pruning — the top-k path, which ranks every candidate); `lo` is
-/// non-zero only for the intra-query parallel workers, which partition the
-/// live range. `minting` is the number of df-ordered signature hashes
+/// `0..live` of one shard, accumulating into `scratch` (begins a fresh
+/// epoch for the shard). `live` is the prune stage's cutoff (pass
+/// `shard.len()` to disable pruning — the top-k path, which ranks every
+/// candidate). `minting` is the number of df-ordered signature hashes
 /// allowed to mint new candidates; pass `view.hashes.len()` to disable the
-/// prefix filter. `kernel` picks the accumulate kernel (see
-/// [`FinishKernel`]); answers are identical either way.
+/// prefix filter.
 pub(crate) fn accumulate(
     shard: &Shard,
     view: &QuerySketchView<'_>,
-    lo: usize,
-    hi: usize,
+    live: usize,
     minting: usize,
-    kernel: FinishKernel,
     scratch: &mut QueryScratch,
 ) {
     scratch.begin(shard.len());
+    let mut decode = std::mem::take(&mut scratch.block_decode);
     if minting >= view.hashes.len() {
-        walk_unfiltered(shard, view, lo, hi, kernel, scratch);
-        return;
-    }
-    // The ordering buffer lives in the scratch and is only moved out while
-    // borrowed alongside it.
-    let mut order = std::mem::take(&mut scratch.hash_order);
-    df_order(shard.store(), view, &mut order);
-    walk_prefixed(shard, view, lo, hi, minting, &order, kernel, scratch);
-    scratch.hash_order = order;
-}
-
-/// [`accumulate`] with a caller-provided df-ordering for the shard. The
-/// ordering depends only on (query, shard), so the intra-query parallel
-/// path computes it once per shard ([`df_order`]) and shares it across the
-/// shard's slot-sub-range tasks instead of re-sorting per task.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn accumulate_ordered(
-    shard: &Shard,
-    view: &QuerySketchView<'_>,
-    lo: usize,
-    hi: usize,
-    minting: usize,
-    order: &[(u32, u64)],
-    kernel: FinishKernel,
-    scratch: &mut QueryScratch,
-) {
-    scratch.begin(shard.len());
-    if minting >= view.hashes.len() {
-        walk_unfiltered(shard, view, lo, hi, kernel, scratch);
+        // Every signature hash mints: no df-ordering needed.
+        for &h in view.hashes {
+            walk_signature(shard, h, live, &mut decode, scratch);
+        }
+        walk_buffer(shard, view, live, &mut decode, scratch);
     } else {
-        walk_prefixed(shard, view, lo, hi, minting, order, kernel, scratch);
+        // The ordering buffer lives in the scratch and is only moved out
+        // while borrowed alongside it.
+        let mut order = std::mem::take(&mut scratch.hash_order);
+        df_order(shard.store(), view, &mut order);
+        for &(_, h) in &order[..minting] {
+            walk_signature(shard, h, live, &mut decode, scratch);
+        }
+        // Buffer candidates must be minted BEFORE the lookup-only pass, or
+        // a buffer-only candidate would miss its frequent-hash
+        // accumulations.
+        walk_buffer(shard, view, live, &mut decode, scratch);
+        // The lookup-only pass owns the longest posting lists, which is
+        // where the branch-free batched accumulate pays off.
+        for &(_, h) in &order[minting..] {
+            if let Some(postings) = shard.signature_postings(h) {
+                postings.for_each_chunk_in_range(0, live, &mut decode, |chunk| match chunk {
+                    PostingChunk::Slots(slots) => scratch.add_signature_hits_if_candidate(slots),
+                    PostingChunk::Bitmap { base, words } => {
+                        scratch.add_signature_hits_if_candidate_mask(base, words)
+                    }
+                });
+            }
+        }
+        scratch.hash_order = order;
     }
+    scratch.block_decode = decode;
 }
 
 /// Fills `order` with the query's signature hashes keyed by ascending
@@ -164,102 +132,28 @@ pub(crate) fn accumulate_ordered(
 /// shard's store. The key is unique (per-query hashes are deduplicated),
 /// so the order — and with it every downstream artefact — is
 /// deterministic.
-pub(crate) fn df_order(
-    store: &SketchStore,
-    view: &QuerySketchView<'_>,
-    order: &mut Vec<(u32, u64)>,
-) {
+fn df_order(store: &SketchStore, view: &QuerySketchView<'_>, order: &mut Vec<(u32, u64)>) {
     order.clear();
     order.extend(view.hashes.iter().map(|&h| (store.hash_df(h) as u32, h)));
     order.sort_unstable();
 }
 
-/// The unfiltered walk: every signature hash mints.
-fn walk_unfiltered(
+/// One minting signature hash: every posting slot below `live` becomes a
+/// candidate and gains one shared hash.
+#[inline]
+fn walk_signature(
     shard: &Shard,
-    view: &QuerySketchView<'_>,
-    lo: usize,
-    hi: usize,
-    kernel: FinishKernel,
+    hash: u64,
+    live: usize,
+    decode: &mut Vec<u32>,
     scratch: &mut QueryScratch,
 ) {
-    let mut decode = std::mem::take(&mut scratch.block_decode);
-    for &h in view.hashes {
-        if let Some(postings) = shard.signature_postings(h) {
-            match kernel {
-                FinishKernel::Scalar => postings.for_each_in_range(lo, hi, &mut decode, |slot| {
-                    scratch.add_signature_hit(slot);
-                }),
-                FinishKernel::Vectorized => {
-                    postings.for_each_chunk_in_range(lo, hi, &mut decode, |chunk| match chunk {
-                        PostingChunk::Slots(slots) => scratch.add_signature_hits(slots),
-                        PostingChunk::Bitmap { base, words } => {
-                            scratch.add_signature_hits_mask(base, words)
-                        }
-                    })
-                }
-            }
-        }
+    if let Some(postings) = shard.signature_postings(hash) {
+        postings.for_each_chunk_in_range(0, live, decode, |chunk| match chunk {
+            PostingChunk::Slots(slots) => scratch.add_signature_hits(slots),
+            PostingChunk::Bitmap { base, words } => scratch.add_signature_hits_mask(base, words),
+        });
     }
-    walk_buffer(shard, view, lo, hi, kernel, &mut decode, scratch);
-    scratch.block_decode = decode;
-}
-
-/// The prefix-filtered three-pass walk over a df-ordered hash list.
-#[allow(clippy::too_many_arguments)]
-fn walk_prefixed(
-    shard: &Shard,
-    view: &QuerySketchView<'_>,
-    lo: usize,
-    hi: usize,
-    minting: usize,
-    order: &[(u32, u64)],
-    kernel: FinishKernel,
-    scratch: &mut QueryScratch,
-) {
-    let mut decode = std::mem::take(&mut scratch.block_decode);
-    for &(_, h) in &order[..minting] {
-        if let Some(postings) = shard.signature_postings(h) {
-            match kernel {
-                FinishKernel::Scalar => postings.for_each_in_range(lo, hi, &mut decode, |slot| {
-                    scratch.add_signature_hit(slot);
-                }),
-                FinishKernel::Vectorized => {
-                    postings.for_each_chunk_in_range(lo, hi, &mut decode, |chunk| match chunk {
-                        PostingChunk::Slots(slots) => scratch.add_signature_hits(slots),
-                        PostingChunk::Bitmap { base, words } => {
-                            scratch.add_signature_hits_mask(base, words)
-                        }
-                    })
-                }
-            }
-        }
-    }
-    // Buffer candidates must be minted BEFORE the lookup-only pass, or a
-    // buffer-only candidate would miss its frequent-hash accumulations.
-    walk_buffer(shard, view, lo, hi, kernel, &mut decode, scratch);
-    // The lookup-only pass owns the longest posting lists, which is where
-    // the vectorized kernel's branch-free batched accumulate pays off.
-    for &(_, h) in &order[minting..] {
-        if let Some(postings) = shard.signature_postings(h) {
-            match kernel {
-                FinishKernel::Scalar => postings.for_each_in_range(lo, hi, &mut decode, |slot| {
-                    scratch.add_signature_hit_if_candidate(slot);
-                }),
-                FinishKernel::Vectorized => {
-                    postings.for_each_chunk_in_range(lo, hi, &mut decode, |chunk| match chunk {
-                        PostingChunk::Slots(slots) => {
-                            scratch.add_signature_hits_if_candidate(slots)
-                        }
-                        PostingChunk::Bitmap { base, words } => {
-                            scratch.add_signature_hits_if_candidate_mask(base, words)
-                        }
-                    })
-                }
-            }
-        }
-    }
-    scratch.block_decode = decode;
 }
 
 /// The buffer-posting walk, shared by both minting modes. It only
@@ -270,26 +164,16 @@ fn walk_prefixed(
 fn walk_buffer(
     shard: &Shard,
     view: &QuerySketchView<'_>,
-    lo: usize,
-    hi: usize,
-    kernel: FinishKernel,
+    live: usize,
     decode: &mut Vec<u32>,
     scratch: &mut QueryScratch,
 ) {
     for pos in view.buffer.set_positions() {
-        let postings = shard.buffer_postings(pos);
-        match kernel {
-            FinishKernel::Scalar => postings.for_each_in_range(lo, hi, decode, |slot| {
-                scratch.add_candidate(slot);
-            }),
-            FinishKernel::Vectorized => {
-                postings.for_each_chunk_in_range(lo, hi, decode, |chunk| match chunk {
-                    PostingChunk::Slots(slots) => scratch.add_candidates(slots),
-                    PostingChunk::Bitmap { base, words } => {
-                        scratch.add_candidates_mask(base, words)
-                    }
-                })
-            }
-        }
+        shard
+            .buffer_postings(pos)
+            .for_each_chunk_in_range(0, live, decode, |chunk| match chunk {
+                PostingChunk::Slots(slots) => scratch.add_candidates(slots),
+                PostingChunk::Bitmap { base, words } => scratch.add_candidates_mask(base, words),
+            });
     }
 }

@@ -3,7 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModelConfig;
-use crate::index::candidates::FinishKernel;
 use crate::index::postings::PostingFormat;
 
 /// How the buffer size is chosen at build time.
@@ -28,9 +27,6 @@ pub struct GbKmvConfig {
     pub buffer: BufferSizing,
     /// Seed of the sketch hash function.
     pub hash_seed: u64,
-    /// Whether the inverted-signature candidate filter is used by
-    /// [`crate::index::ContainmentIndex::search`] (disable for the ablation).
-    pub use_candidate_filter: bool,
     /// Whether the query pipeline's signature prefix filter is used by the
     /// index's search entry points: only the rarest (lowest document
     /// frequency) signature hashes of a query mint new candidates, the rest
@@ -53,19 +49,15 @@ pub struct GbKmvConfig {
     /// format never changes any answer — every query path walks the
     /// identical slot sequence — only the memory footprint.
     pub posting_format: PostingFormat,
-    /// Accumulate kernel of the candidates stage (see
-    /// [`crate::index::candidates::FinishKernel`]): batched block-at-a-time
-    /// accumulation by default, one-slot-at-a-time as the correctness
-    /// oracle and ablation. The kernel never changes any answer — both
-    /// walk the identical slot sequence — only the finish throughput.
-    pub finish_kernel: FinishKernel,
     /// Cost model configuration used when `buffer` is [`BufferSizing::Auto`].
     pub cost_model: CostModelConfig,
     /// Queue length at which a [`crate::service::ContainmentService`]
     /// wrapping an index built with this configuration publishes a new
     /// generation automatically (`0` is clamped to 1: publish every
-    /// record). Larger batches amortise the O(index) generation clone over
-    /// more inserts; smaller ones shorten the ingest-to-visible latency.
+    /// record). A flush costs O(touched shard + batch) — the new generation
+    /// shares every untouched shard copy-on-write — so larger batches
+    /// amortise the one tail-shard copy over more inserts; smaller ones
+    /// shorten the ingest-to-visible latency.
     pub ingest_batch: usize,
 }
 
@@ -76,12 +68,10 @@ impl Default for GbKmvConfig {
             budget_elements: None,
             buffer: BufferSizing::Auto,
             hash_seed: 0x6bb7_9e4b_1f2d_3c58,
-            use_candidate_filter: true,
             use_prefix_filter: true,
             threads: 0,
             shards: 1,
             posting_format: PostingFormat::default(),
-            finish_kernel: FinishKernel::default(),
             cost_model: CostModelConfig::default(),
             ingest_batch: 64,
         }
@@ -117,12 +107,6 @@ impl GbKmvConfig {
         self
     }
 
-    /// Enables or disables the inverted-signature candidate filter.
-    pub fn candidate_filter(mut self, enabled: bool) -> Self {
-        self.use_candidate_filter = enabled;
-        self
-    }
-
     /// Enables or disables the signature prefix filter of the query
     /// pipeline (answers are identical either way).
     pub fn prefix_filter(mut self, enabled: bool) -> Self {
@@ -146,13 +130,6 @@ impl GbKmvConfig {
     /// every format; only the memory footprint changes).
     pub fn posting_format(mut self, format: PostingFormat) -> Self {
         self.posting_format = format;
-        self
-    }
-
-    /// Sets the candidates-stage accumulate kernel (answers are identical
-    /// for every kernel; only the finish throughput changes).
-    pub fn finish_kernel(mut self, kernel: FinishKernel) -> Self {
-        self.finish_kernel = kernel;
         self
     }
 
@@ -211,27 +188,18 @@ mod tests {
         let c = GbKmvConfig::with_space_fraction(0.2)
             .buffer_size(8)
             .hash_seed(7)
-            .candidate_filter(false)
             .prefix_filter(false)
             .threads(2)
             .shards(4)
             .posting_format(PostingFormat::Raw)
-            .finish_kernel(FinishKernel::Scalar)
             .ingest_batch(16);
         assert_eq!(c.buffer, BufferSizing::Fixed(8));
         assert_eq!(c.hash_seed, 7);
-        assert!(!c.use_candidate_filter);
         assert!(!c.use_prefix_filter);
         assert!(GbKmvConfig::default().use_prefix_filter);
         assert_eq!(c.threads, 2);
         assert_eq!(c.shards, 4);
         assert_eq!(c.posting_format, PostingFormat::Raw);
-        assert_eq!(c.finish_kernel, FinishKernel::Scalar);
-        // Vectorized is the default: the scalar loop is the oracle.
-        assert_eq!(
-            GbKmvConfig::default().finish_kernel,
-            FinishKernel::Vectorized
-        );
         assert_eq!(c.ingest_batch, 16);
         assert_eq!(GbKmvConfig::default().ingest_batch, 64);
         // Packed is the default: the compressed subsystem is the engine,

@@ -9,7 +9,8 @@
 //! * `accumulated_overlap` — O(1) finish from the candidate stage's `K∩`
 //!   counter and the store's per-slot scalars (the pipeline path),
 //! * `merge_overlap` — O(|L_Q| + |L_X|) sorted-merge finish straight off
-//!   the arenas (the scan and baseline reference paths).
+//!   the arenas (the reference scan and
+//!   [`GbKmvIndex::estimate_containment`](crate::index::GbKmvIndex::estimate_containment)).
 
 use crate::gkmv::GKmvPairEstimate;
 use crate::index::candidates::QuerySketchView;
@@ -37,7 +38,7 @@ pub(crate) fn accumulated_overlap(
     store.buffer_intersection_count(view.buffer_words(), s) as f64 + gkmv.intersection_estimate
 }
 
-/// Sorted-merge finish over the arenas (the reference paths).
+/// Sorted-merge finish over the arenas (the reference scan).
 #[inline]
 pub(crate) fn merge_overlap(store: &SketchStore, view: &QuerySketchView<'_>, slot: usize) -> f64 {
     let gkmv = store.gkmv_pair_estimate(view.hashes, view.max_hash, view.saturated, slot);

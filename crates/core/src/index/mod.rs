@@ -31,9 +31,10 @@
 //!   module docs); the frequent rest — which own the longest posting
 //!   lists — need only score already-minted candidates.
 //! * [`candidates`] — term-at-a-time walk of the query's signature-hash and
-//!   buffer-bit postings, accumulating `K∩` and candidate membership into an
-//!   epoch-stamped [`QueryScratch`]: minting hashes are ordered by ascending
-//!   **document frequency** (maintained in the
+//!   buffer-bit postings, accumulating `K∩` and candidate membership into
+//!   an epoch-stamped [`QueryScratch`](crate::scratch::QueryScratch):
+//!   minting hashes are ordered by ascending **document frequency**
+//!   (maintained in the
 //!   [`SketchStore`](crate::store::SketchStore) through build and insert)
 //!   and walked first, then the buffer postings mint, then the frequent
 //!   hashes accumulate lookup-only.
@@ -45,16 +46,12 @@
 //!
 //! [`QueryPipeline`] owns the per-stage state and is the reusable executor;
 //! [`ShardedIndex`] is the storage layer of N independent shards covering
-//! contiguous record-id ranges. Two parallel schedules run over it:
-//! [`GbKmvIndex::search_batch`] fans a query *slab* over scoped threads
-//! (throughput — one pipeline per worker), and
-//! [`GbKmvIndex::search_parallel`] fans a *single* query's live slot ranges
-//! over scoped threads (latency — per-worker scratches, merged by one
-//! record-id sort). The unaccelerated [`GbKmvIndex::search_scan`] and
-//! [`GbKmvIndex::search_filtered_baseline`] reference paths are retained in
-//! [`mod@reference`]: every path returns bit-identical hits, which the
-//! agreement tests and the `query_agreement` property suite enforce for all
-//! shard counts, thread counts and the pruning/prefix ablations.
+//! contiguous record-id ranges. [`GbKmvIndex::search_batch`] fans a query
+//! *slab* over scoped threads (one pipeline per worker). The unaccelerated
+//! [`GbKmvIndex::search_scan`] reference path is retained in
+//! [`mod@reference`]: the pipeline returns bit-identical hits, which the
+//! agreement tests and the `query_agreement` property suite enforce for
+//! every shard count, posting format and the prefix-filter setting.
 
 pub mod build;
 pub mod candidates;
@@ -74,7 +71,6 @@ use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
 
-pub use candidates::FinishKernel;
 pub use config::{BufferSizing, GbKmvConfig, IndexSummary};
 pub use pipeline::QueryPipeline;
 pub use postings::{PostingChunk, PostingFormat, PostingList};
@@ -83,7 +79,6 @@ pub use sharded::{Shard, ShardedIndex};
 use crate::dataset::{ElementId, Record, RecordId};
 use crate::gbkmv::{GbKmvRecordSketch, GbKmvSketcher};
 use crate::parallel;
-use crate::scratch::QueryScratch;
 use crate::store::SketchView;
 
 /// A single search result.
@@ -121,32 +116,6 @@ pub trait ContainmentIndex {
             .collect()
     }
 
-    /// Answers one query with the work of that *single* query fanned over
-    /// all available cores, returning exactly what
-    /// [`ContainmentIndex::search`] would return.
-    ///
-    /// The default implementation is the sequential search; indexes with an
-    /// intra-query parallel engine (e.g. [`GbKmvIndex::search_parallel`])
-    /// override it. Use this for latency-bound workloads (one expensive
-    /// query at a time); use [`ContainmentIndex::search_batch`] for
-    /// throughput-bound ones (many queries, one per core).
-    fn search_parallel(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        self.search(query, t_star)
-    }
-
-    /// Answers a workload with the execution schedule — sequential,
-    /// parallel batch, or intra-query parallel — chosen by the index from
-    /// the workload shape and the machine, returning exactly what
-    /// [`ContainmentIndex::search`] would return per query.
-    ///
-    /// The default implementation delegates to
-    /// [`ContainmentIndex::search_batch`] (whose own default is the
-    /// sequential loop); indexes with several engines (e.g.
-    /// [`GbKmvIndex::search_auto`]) override it with a cost-based choice.
-    fn search_auto(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
-        self.search_batch(queries, t_star)
-    }
-
     /// Space consumed by the index, measured in elements (32-bit words), the
     /// unit the paper's space budget uses.
     fn space_elements(&self) -> f64;
@@ -163,9 +132,9 @@ thread_local! {
     /// The pipeline's scratch grows to the largest shard searched on the
     /// thread (8 bytes per record) and stays resident for the thread's
     /// lifetime — even after the index is dropped. Query loops that care
-    /// about retained memory should run their own [`QueryPipeline`] (or pass
-    /// a scratch via [`GbKmvIndex::search_filtered_with`] /
-    /// [`GbKmvIndex::search_topk_with`]) and drop it when done.
+    /// about retained memory should run their own [`QueryPipeline`]
+    /// ([`QueryPipeline::search`] / [`QueryPipeline::topk`]) and drop it
+    /// when done.
     static QUERY_PIPELINE: RefCell<QueryPipeline> = RefCell::new(QueryPipeline::new());
 }
 
@@ -323,90 +292,23 @@ impl GbKmvIndex {
         finish::merge_overlap(shard.store(), &view, slot) / query.len() as f64
     }
 
-    /// Containment similarity search (Algorithm 2) using the staged pipeline
-    /// when the candidate filter is enabled.
+    /// Containment similarity search (Algorithm 2) through the staged
+    /// pipeline; the same answer as [`ContainmentIndex::search`] over
+    /// `query.elements()`.
     pub fn search_record(&self, query: &Record, t_star: f64) -> Vec<SearchHit> {
         self.search_sorted(query.elements(), t_star)
     }
 
-    /// Containment similarity search over a borrowed element slice.
-    ///
-    /// If the slice is already sorted and deduplicated (every [`Record`]'s
-    /// invariant, so e.g. `record.elements()` qualifies) the query runs with
-    /// **zero** copies of the input; otherwise one canonicalising copy is
-    /// made.
-    pub fn search_elements(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        with_canonical_query(query, |q| self.search_sorted(q, t_star))
-    }
-
     fn search_sorted(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        if self.config.use_candidate_filter {
-            QUERY_PIPELINE.with(|p| {
-                let mut p = p.borrow_mut();
-                p.set_stages(
-                    true,
-                    self.config.use_prefix_filter,
-                    self.config.finish_kernel,
-                );
-                p.search_sorted(self, query, t_star)
-            })
-        } else {
-            reference::scan_sorted(self, query, t_star)
-        }
+        QUERY_PIPELINE.with(|p| p.borrow_mut().search_sorted(self, query, t_star))
     }
 
     /// Reference implementation: estimates the intersection with every
     /// record (subject to the size filter) without candidate pruning, via a
-    /// sorted merge per record over the flat store.
+    /// sorted merge per record over the flat store. The oracle every
+    /// pipeline answer is pinned against.
     pub fn search_scan(&self, query: &Record, t_star: f64) -> Vec<SearchHit> {
         reference::scan_sorted(self, query.elements(), t_star)
-    }
-
-    /// Candidate-filtered search through the staged pipeline
-    /// (prune → candidates → finish → rank).
-    ///
-    /// When the index was built with the candidate filter disabled (the
-    /// ablation configuration) no postings exist, so this falls back to
-    /// [`GbKmvIndex::search_scan`] rather than answering from an empty
-    /// candidate set.
-    pub fn search_filtered(&self, query: &Record, t_star: f64) -> Vec<SearchHit> {
-        QUERY_PIPELINE.with(|p| {
-            let mut p = p.borrow_mut();
-            p.set_stages(
-                true,
-                self.config.use_prefix_filter,
-                self.config.finish_kernel,
-            );
-            p.search_sorted(self, query.elements(), t_star)
-        })
-    }
-
-    /// [`GbKmvIndex::search_filtered`] with an explicit reusable scratch —
-    /// the zero-per-query-allocation entry point for query-loop callers that
-    /// predates [`QueryPipeline`] (which is the richer equivalent).
-    pub fn search_filtered_with(
-        &self,
-        query: &Record,
-        t_star: f64,
-        scratch: &mut QueryScratch,
-    ) -> Vec<SearchHit> {
-        pipeline::filtered_sorted(
-            self,
-            query.elements(),
-            t_star,
-            prune::PruneStage::new(true, self.config.use_prefix_filter),
-            self.config.finish_kernel,
-            scratch,
-        )
-    }
-
-    /// The pre-accumulator candidate-filtered search, kept as a reference
-    /// implementation and for the throughput ablation benchmark: candidates
-    /// are deduplicated through a fresh hash set and every candidate pays an
-    /// O(|L_Q| + |L_X|) sorted merge. Falls back to the scan under the same
-    /// conditions as [`GbKmvIndex::search_filtered`].
-    pub fn search_filtered_baseline(&self, query: &Record, t_star: f64) -> Vec<SearchHit> {
-        reference::baseline_sorted(self, query.elements(), t_star)
     }
 
     /// Top-k containment search: the `k` records with the highest estimated
@@ -421,71 +323,7 @@ impl GbKmvIndex {
     /// bounded binary heap; ties are broken by ascending record id for
     /// determinism.
     pub fn search_topk(&self, query: &Record, k: usize) -> Vec<SearchHit> {
-        QUERY_PIPELINE.with(|p| {
-            let mut p = p.borrow_mut();
-            // Top-k has no prune/prefix stages, but the accumulate kernel
-            // still applies: honour the index's config on the shared
-            // thread-local pipeline (another index may have set it).
-            p.set_stages(
-                true,
-                self.config.use_prefix_filter,
-                self.config.finish_kernel,
-            );
-            p.topk(self, query.elements(), k)
-        })
-    }
-
-    /// [`GbKmvIndex::search_topk`] with an explicit reusable scratch.
-    pub fn search_topk_with(
-        &self,
-        query: &Record,
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> Vec<SearchHit> {
-        pipeline::topk_sorted(
-            self,
-            query.elements(),
-            k,
-            self.config.finish_kernel,
-            scratch,
-        )
-    }
-
-    /// Intra-query parallel search: answers one query with its posting and
-    /// finish work partitioned into contiguous live-slot sub-ranges fanned
-    /// over all available cores (each worker owns a private scratch), then
-    /// merged with one record-id sort. Bit-identical to
-    /// [`GbKmvIndex::search_elements`] for every thread count; queries too
-    /// small to amortise the thread spawns (live range under
-    /// [`pipeline::PARALLEL_MIN_LIVE_SLOTS`]) run sequentially.
-    ///
-    /// This is the latency lever for very large shards; for many small
-    /// queries prefer [`GbKmvIndex::search_batch`], which parallelises
-    /// *across* queries instead.
-    pub fn search_parallel(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        self.search_parallel_threads(query, t_star, 0)
-    }
-
-    /// [`GbKmvIndex::search_parallel`] with an explicit thread count
-    /// (`0` = all available cores).
-    pub fn search_parallel_threads(
-        &self,
-        query: &[ElementId],
-        t_star: f64,
-        threads: usize,
-    ) -> Vec<SearchHit> {
-        if !self.config.use_candidate_filter {
-            return with_canonical_query(query, |q| reference::scan_sorted(self, q, t_star));
-        }
-        QUERY_PIPELINE.with(|p| {
-            let mut p = p.borrow_mut();
-            p.set_stages(
-                true,
-                self.config.use_prefix_filter,
-                self.config.finish_kernel,
-            );
-            p.search_parallel(self, query, t_star, threads)
-        })
+        QUERY_PIPELINE.with(|p| p.borrow_mut().topk(self, query.elements(), k))
     }
 
     /// Parallel batch search: answers every query of the slab, fanning
@@ -494,61 +332,8 @@ impl GbKmvIndex {
     /// the per-query hit lists in input order. `result[i]` is bit-identical
     /// to `search_record(&queries[i], t_star)` for every thread count.
     pub fn search_batch(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
-        self.search_batch_threads(queries, t_star, 0)
-    }
-
-    /// Cost-based automatic schedule selection: answers the workload
-    /// through whichever engine the workload shape and the (cached) core
-    /// count favour, bit-identical to a per-query
-    /// [`GbKmvIndex::search_record`] loop.
-    ///
-    /// * several queries on a multi-core machine — the parallel **batch**
-    ///   path (one pipeline per core; parallelising *across* queries beats
-    ///   splitting any single one),
-    /// * a single query on a multi-core machine — the **intra-query
-    ///   parallel** path, which itself degrades to the sequential engine
-    ///   when the query's live-slot count is below
-    ///   [`pipeline::PARALLEL_MIN_LIVE_SLOTS`] (the same live-slot cost
-    ///   model, applied after the per-shard prune cutoffs are known),
-    /// * a single core — the plain **sequential** loop; no schedule can
-    ///   win without parallel hardware, so none pays spawn overhead.
-    ///
-    /// The core count comes from the process-wide cache of
-    /// [`parallel::resolve_threads`], so the choice itself costs
-    /// nanoseconds. `ExperimentConfig::auto(true)` routes the evaluation
-    /// harness through this entry point.
-    pub fn search_auto(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
-        let cores = parallel::resolve_threads(0);
-        if cores > 1 && queries.len() > 1 {
-            return self.search_batch(queries, t_star);
-        }
-        if cores > 1 {
-            return queries
-                .iter()
-                .map(|q| self.search_parallel(q.elements(), t_star))
-                .collect();
-        }
-        queries
-            .iter()
-            .map(|q| self.search_record(q, t_star))
-            .collect()
-    }
-
-    /// [`GbKmvIndex::search_batch`] with an explicit thread count
-    /// (`0` = all available cores).
-    pub fn search_batch_threads(
-        &self,
-        queries: &[Record],
-        t_star: f64,
-        threads: usize,
-    ) -> Vec<Vec<SearchHit>> {
-        parallel::map_chunks(queries, threads, |_, chunk| {
-            // Honour the index's prefix-filter and kernel knobs like every
-            // other entry point, so the config-level ablations also ablate
-            // this path.
-            let mut pipeline = QueryPipeline::new()
-                .prefix_filter(self.config.use_prefix_filter)
-                .finish_kernel(self.config.finish_kernel);
+        parallel::map_chunks(queries, 0, |_, chunk| {
+            let mut pipeline = QueryPipeline::new();
             chunk
                 .iter()
                 .map(|q| pipeline.search_sorted(self, q.elements(), t_star))
@@ -561,20 +346,16 @@ impl GbKmvIndex {
 }
 
 impl ContainmentIndex for GbKmvIndex {
+    /// If the slice is already sorted and deduplicated (every [`Record`]'s
+    /// invariant, so e.g. `record.elements()` qualifies) the query runs with
+    /// **zero** copies of the input; otherwise one canonicalising copy is
+    /// made.
     fn search(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        self.search_elements(query, t_star)
+        with_canonical_query(query, |q| self.search_sorted(q, t_star))
     }
 
     fn search_batch(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
         GbKmvIndex::search_batch(self, queries, t_star)
-    }
-
-    fn search_parallel(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        GbKmvIndex::search_parallel(self, query, t_star)
-    }
-
-    fn search_auto(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
-        GbKmvIndex::search_auto(self, queries, t_star)
     }
 
     fn space_elements(&self) -> f64 {

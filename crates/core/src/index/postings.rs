@@ -37,8 +37,10 @@
 //! # Traversal and block skipping
 //!
 //! The candidate stage never materialises a whole list: it walks a slot
-//! range `lo..hi` via [`PostingList::for_each_in_range`], which — on the
-//! packed representation — **skips whole blocks on their `first` slot**
+//! range `lo..hi` with block skipping. The per-slot walk
+//! [`PostingList::for_each_in_range`] (the oracle the chunked walk below is
+//! pinned against) shows the rule: on the packed representation it
+//! **skips whole blocks on their `first` slot**
 //! (blocks are ascending, so every block whose `first` is at or past the
 //! prune stage's `hi` cutoff dies with one comparison, and the first
 //! relevant block is found with one binary search over the metas), decodes
@@ -48,16 +50,16 @@
 //! the binary-search truncation the raw representation performs, which is
 //! what keeps every query path's answers independent of the format.
 //!
-//! The batched variant [`PostingList::for_each_chunk_in_range`] walks the
-//! same slots but hands them out **one block at a time** as a
+//! The batched variant [`PostingList::for_each_chunk_in_range`] — the one
+//! the candidates stage runs — walks the same slots but hands them out
+//! **one block at a time** as a
 //! [`PostingChunk`]: the raw format hands out its cut sub-slice in one
 //! piece copy-free, gap blocks decode with a 4-lane unrolled prefix sum
 //! over the non-straddling per-word layout, dense runs materialise
 //! arithmetically — and fully-in-range bitmap blocks are handed out
 //! **undecoded**, as their 16-byte mask, so the accumulator consumes the
 //! set bits without a decode-buffer round trip. This is the substrate of
-//! the vectorized accumulate kernel in [`crate::index::candidates`]
-//! ([`crate::index::candidates::FinishKernel::Vectorized`]).
+//! the batched accumulate walk in [`crate::index::candidates`].
 //!
 //! # Dynamic maintenance
 //!
@@ -1160,8 +1162,7 @@ impl PostingList {
 
     /// Calls `f` on every stored slot in `lo..hi`, in ascending order,
     /// **one [`PostingChunk`] at a time** — the batched walk the
-    /// vectorized accumulate kernel
-    /// ([`crate::index::candidates::FinishKernel`]) consumes. The raw
+    /// candidates stage ([`crate::index::candidates`]) consumes. The raw
     /// representation hands out its cut sub-slice in a single copy-free
     /// chunk; the packed representation hands out each surviving block —
     /// fully-in-range bitmap blocks as their undecoded mask, everything
@@ -1188,7 +1189,7 @@ impl PostingList {
     }
 
     /// Calls `f` on every stored slot in ascending order (the whole-list
-    /// walk of the reference paths).
+    /// walk behind [`PostingList::to_vec`]).
     #[inline]
     pub fn for_each<F: FnMut(u32)>(&self, buf: &mut Vec<u32>, f: F) {
         self.for_each_in_range(0, usize::MAX, buf, f);
@@ -1273,7 +1274,7 @@ impl PostingList {
     }
 
     /// Decodes the full list (tests and diagnostics; query paths stream
-    /// through [`PostingList::for_each_in_range`] instead).
+    /// through [`PostingList::for_each_chunk_in_range`] instead).
     pub fn to_vec(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.len());
         let mut buf = Vec::new();

@@ -65,75 +65,44 @@ use crate::sim::OverlapThreshold;
 /// identical either way (the filter is structural, not semantic).
 pub(crate) const SHORT_SIGNATURE_LEN: usize = 8;
 
-/// The per-query pruning decisions (size cutoff and prefix filter), applied
-/// per shard.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PruneStage {
-    /// Whether size pruning is enabled (disabled for the ablation benchmark;
-    /// the size filter then runs per candidate at finish time instead,
-    /// exactly as the pre-pruning engine did).
-    size: bool,
-    /// Whether the signature prefix filter is enabled (disabled for the
-    /// ablation benchmark; every signature hash then mints candidates, as
-    /// the PR-3 engine did).
-    prefix: bool,
+/// The number of leading slots of `shard` that survive the overlap
+/// threshold — the candidate stage's posting-list cutoff.
+#[inline]
+pub(crate) fn live_slots(shard: &Shard, threshold: OverlapThreshold) -> usize {
+    shard.store().live_prefix(threshold.exact)
 }
 
-impl PruneStage {
-    pub(crate) fn new(size: bool, prefix: bool) -> Self {
-        PruneStage { size, prefix }
+/// Number of the query's (df-ordered) signature hashes allowed to mint
+/// new candidates: `|L_Q| − θ_sig + 1` for the `u_Q`-corrected pigeonhole
+/// bound `θ_sig` of the module docs, clamped to `[0, |L_Q|]`. Returns
+/// `|L_Q|` (all hashes mint — plain accumulation, and the candidates
+/// stage skips the df-ordering sort entirely) when the filter is
+/// disabled, when the signature is at most [`SHORT_SIGNATURE_LEN`]
+/// hashes (the sort costs more than the filter saves there), or when
+/// the bound cannot cut anything (`θ_sig ≤ 1`).
+pub(crate) fn minting_hashes(
+    view: &QuerySketchView<'_>,
+    threshold: OverlapThreshold,
+    prefix_filter: bool,
+) -> usize {
+    let n = view.hashes.len();
+    if !prefix_filter || n <= SHORT_SIGNATURE_LEN {
+        return n;
     }
-
-    /// Whether structural size pruning is active.
-    #[inline]
-    pub(crate) fn size_enabled(&self) -> bool {
-        self.size
+    let u_q = unit_hash(view.max_hash);
+    // θ_sig = ⌈u_Q·(t*·|Q| − 1e-9)⌉ with an absolute 1e-6 slop against
+    // the estimator's own floating-point rounding (the 1e-9 matches the
+    // tolerance of the finish stage's qualification test). Understating
+    // θ_sig only lengthens the prefix — always sound.
+    let theta = (u_q * (threshold.raw - 1e-9) - 1e-6).ceil();
+    if theta <= 1.0 {
+        // Every hash may mint a qualifying candidate: no filter.
+        return n;
     }
-
-    /// The number of leading slots of `shard` that survive the overlap
-    /// threshold — the candidate stage's posting-list cutoff. With pruning
-    /// disabled every slot is live.
-    #[inline]
-    pub(crate) fn live_slots(&self, shard: &Shard, threshold: OverlapThreshold) -> usize {
-        if self.size {
-            shard.store().live_prefix(threshold.exact)
-        } else {
-            shard.len()
-        }
-    }
-
-    /// Number of the query's (df-ordered) signature hashes allowed to mint
-    /// new candidates: `|L_Q| − θ_sig + 1` for the `u_Q`-corrected pigeonhole
-    /// bound `θ_sig` of the module docs, clamped to `[0, |L_Q|]`. Returns
-    /// `|L_Q|` (all hashes mint — plain accumulation, and the candidates
-    /// stage skips the df-ordering sort entirely) when the filter is
-    /// disabled, when the signature is at most [`SHORT_SIGNATURE_LEN`]
-    /// hashes (the sort costs more than the filter saves there), or when
-    /// the bound cannot cut anything (`θ_sig ≤ 1`).
-    pub(crate) fn minting_hashes(
-        &self,
-        view: &QuerySketchView<'_>,
-        threshold: OverlapThreshold,
-    ) -> usize {
-        let n = view.hashes.len();
-        if !self.prefix || n <= SHORT_SIGNATURE_LEN {
-            return n;
-        }
-        let u_q = unit_hash(view.max_hash);
-        // θ_sig = ⌈u_Q·(t*·|Q| − 1e-9)⌉ with an absolute 1e-6 slop against
-        // the estimator's own floating-point rounding (the 1e-9 matches the
-        // tolerance of the finish stage's qualification test). Understating
-        // θ_sig only lengthens the prefix — always sound.
-        let theta = (u_q * (threshold.raw - 1e-9) - 1e-6).ceil();
-        if theta <= 1.0 {
-            // Every hash may mint a qualifying candidate: no filter.
-            return n;
-        }
-        // A finite prefix: `n + 1 − θ_sig` hashes mint; a θ_sig beyond the
-        // signature length means no hash can mint a qualifying candidate on
-        // its own (buffer postings still do).
-        (n + 1).saturating_sub(theta as usize).min(n)
-    }
+    // A finite prefix: `n + 1 − θ_sig` hashes mint; a θ_sig beyond the
+    // signature length means no hash can mint a qualifying candidate on
+    // its own (buffer postings still do).
+    (n + 1).saturating_sub(theta as usize).min(n)
 }
 
 #[cfg(test)]
@@ -166,36 +135,35 @@ mod tests {
         // u_Q = 1.0 (max hash saturates the unit interval): θ_sig = ⌈t*·|Q|⌉.
         let hashes = twelve_hashes(u64::MAX);
         let view = view_with(&hashes, &buffer);
-        let stage = PruneStage::new(true, true);
         // θ = 0 ⇒ everything mints.
         assert_eq!(
-            stage.minting_hashes(&view, OverlapThreshold::new(10, 0.0)),
+            minting_hashes(&view, OverlapThreshold::new(10, 0.0), true),
             12
         );
         // θ_sig = 5 ⇒ prefix of 12 + 1 − 5 = 8.
         assert_eq!(
-            stage.minting_hashes(&view, OverlapThreshold::new(10, 0.5)),
+            minting_hashes(&view, OverlapThreshold::new(10, 0.5), true),
             8
         );
         // θ_sig = 2 ⇒ prefix of 11.
         assert_eq!(
-            stage.minting_hashes(&view, OverlapThreshold::new(10, 0.2)),
+            minting_hashes(&view, OverlapThreshold::new(10, 0.2), true),
             11
         );
         // θ_sig = 14 exceeds the 12-hash signature ⇒ nothing mints.
         assert_eq!(
-            stage.minting_hashes(&view, OverlapThreshold::new(20, 0.7)),
+            minting_hashes(&view, OverlapThreshold::new(20, 0.7), true),
             0
         );
         // Filter disabled ⇒ everything mints regardless.
         assert_eq!(
-            PruneStage::new(true, false).minting_hashes(&view, OverlapThreshold::new(10, 0.5)),
+            minting_hashes(&view, OverlapThreshold::new(10, 0.5), false),
             12
         );
         // Empty signature ⇒ nothing to order.
         let empty = view_with(&[], &buffer);
         assert_eq!(
-            stage.minting_hashes(&empty, OverlapThreshold::new(10, 0.5)),
+            minting_hashes(&empty, OverlapThreshold::new(10, 0.5), true),
             0
         );
     }
@@ -209,9 +177,8 @@ mod tests {
         // returning `n` is what makes the candidates stage skip the sort.
         let hashes = [1u64, 2, 3, u64::MAX];
         let view = view_with(&hashes, &buffer);
-        let stage = PruneStage::new(true, true);
         assert_eq!(
-            stage.minting_hashes(&view, OverlapThreshold::new(10, 0.5)),
+            minting_hashes(&view, OverlapThreshold::new(10, 0.5), true),
             4
         );
         // One past the constant, the filter engages again.
@@ -222,7 +189,7 @@ mod tests {
         nine[8] = u64::MAX;
         let view = view_with(&nine, &buffer);
         assert!(
-            stage.minting_hashes(&view, OverlapThreshold::new(10, 0.5)) < 9,
+            minting_hashes(&view, OverlapThreshold::new(10, 0.5), true) < 9,
             "a 9-hash signature must engage the prefix filter"
         );
         assert_eq!(SHORT_SIGNATURE_LEN, 8, "test constants track the knob");
@@ -237,9 +204,8 @@ mod tests {
         // though the naive ⌈t*·|L_Q|⌉ = 6 bound would have cut the prefix.
         let hashes = twelve_hashes(u64::MAX / 32);
         let view = view_with(&hashes, &buffer);
-        let stage = PruneStage::new(true, true);
         assert_eq!(
-            stage.minting_hashes(&view, OverlapThreshold::new(8, 0.5)),
+            minting_hashes(&view, OverlapThreshold::new(8, 0.5), true),
             12
         );
     }

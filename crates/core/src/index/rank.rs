@@ -25,13 +25,6 @@ impl ThresholdCollector {
         self.hits.push(hit);
     }
 
-    /// Merges another collector's hits (the intra-query parallel path
-    /// concatenates its workers' collectors before the final sort).
-    #[inline]
-    pub(crate) fn extend(&mut self, other: ThresholdCollector) {
-        self.hits.extend(other.hits);
-    }
-
     /// The hits sorted by ascending global record id.
     pub(crate) fn into_sorted(mut self) -> Vec<SearchHit> {
         self.hits.sort_unstable_by_key(|h| h.record_id);

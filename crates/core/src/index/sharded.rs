@@ -75,8 +75,7 @@ pub struct Shard {
     /// The storage format every posting list of this shard uses.
     format: PostingFormat,
     /// Inverted postings from G-KMV signature hash value to slots
-    /// (ascending within each list). Empty when the candidate filter is
-    /// disabled.
+    /// (ascending within each list).
     signature_postings: HashMap<u64, PostingList>,
     /// Inverted postings from buffer bit position to slots (ascending).
     buffer_postings: Vec<PostingList>,
@@ -94,51 +93,43 @@ impl Shard {
         sketches: &[GbKmvRecordSketch],
         words_per_record: usize,
         buffer_len: usize,
-        build_postings: bool,
         format: PostingFormat,
         threads: usize,
     ) -> Self {
         let store = SketchStore::from_sketches(words_per_record, sketches);
-        let signature_postings: HashMap<u64, PostingList>;
-        let buffer_postings: Vec<PostingList>;
-        if build_postings {
-            let slots: Vec<u32> = (0..store.len() as u32).collect();
-            let chunked = parallel::map_chunks(&slots, threads, |_, chunk| {
-                let mut sig: HashMap<u64, Vec<u32>> = HashMap::new();
-                let mut buf: Vec<Vec<u32>> = vec![Vec::new(); buffer_len];
-                for &slot in chunk {
-                    let view = store.view(slot as usize);
-                    for &h in view.hashes {
-                        sig.entry(h).or_default().push(slot);
-                    }
-                    for pos in set_positions_in(view.buffer_words) {
-                        buf[pos as usize].push(slot);
-                    }
+        let slots: Vec<u32> = (0..store.len() as u32).collect();
+        let chunked = parallel::map_chunks(&slots, threads, |_, chunk| {
+            let mut sig: HashMap<u64, Vec<u32>> = HashMap::new();
+            let mut buf: Vec<Vec<u32>> = vec![Vec::new(); buffer_len];
+            for &slot in chunk {
+                let view = store.view(slot as usize);
+                for &h in view.hashes {
+                    sig.entry(h).or_default().push(slot);
                 }
-                (sig, buf)
-            });
-            let mut merged_sig: HashMap<u64, Vec<u32>> = HashMap::new();
-            let mut merged_buf: Vec<Vec<u32>> = vec![Vec::new(); buffer_len];
-            for (sig, buf) in chunked {
-                for (h, slots) in sig {
-                    merged_sig.entry(h).or_default().extend(slots);
-                }
-                for (pos, slots) in buf.into_iter().enumerate() {
-                    merged_buf[pos].extend(slots);
+                for pos in set_positions_in(view.buffer_words) {
+                    buf[pos as usize].push(slot);
                 }
             }
-            signature_postings = merged_sig
-                .into_iter()
-                .map(|(h, list)| (h, PostingList::from_sorted(format, list)))
-                .collect();
-            buffer_postings = merged_buf
-                .into_iter()
-                .map(|list| PostingList::from_sorted(format, list))
-                .collect();
-        } else {
-            signature_postings = HashMap::new();
-            buffer_postings = vec![PostingList::new(format); buffer_len];
+            (sig, buf)
+        });
+        let mut merged_sig: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut merged_buf: Vec<Vec<u32>> = vec![Vec::new(); buffer_len];
+        for (sig, buf) in chunked {
+            for (h, slots) in sig {
+                merged_sig.entry(h).or_default().extend(slots);
+            }
+            for (pos, slots) in buf.into_iter().enumerate() {
+                merged_buf[pos].extend(slots);
+            }
         }
+        let signature_postings = merged_sig
+            .into_iter()
+            .map(|(h, list)| (h, PostingList::from_sorted(format, list)))
+            .collect();
+        let buffer_postings = merged_buf
+            .into_iter()
+            .map(|list| PostingList::from_sorted(format, list))
+            .collect();
         Shard {
             base,
             store,
@@ -164,31 +155,29 @@ impl Shard {
     /// splice is a tail append (an O(1) push on the raw format, a one-block
     /// rewrite on the packed one). Loading records in descending size order
     /// therefore inserts in O(record postings) instead of O(shard).
-    pub(crate) fn insert(&mut self, sketch: &GbKmvRecordSketch, build_postings: bool) -> usize {
+    pub(crate) fn insert(&mut self, sketch: &GbKmvRecordSketch) -> usize {
         let (local_id, slot) = self.store.insert(sketch);
-        if build_postings {
-            let slot = slot as u32;
-            // The tail slot (store.len() grew by one, so the old tail index
-            // is len − 1) has no slots above it to renumber.
-            if (slot as usize) < self.store.len() - 1 {
-                for list in self.signature_postings.values_mut() {
-                    list.renumber_from(slot);
-                }
-                for list in &mut self.buffer_postings {
-                    list.renumber_from(slot);
-                }
+        let slot = slot as u32;
+        // The tail slot (store.len() grew by one, so the old tail index is
+        // len − 1) has no slots above it to renumber.
+        if (slot as usize) < self.store.len() - 1 {
+            for list in self.signature_postings.values_mut() {
+                list.renumber_from(slot);
             }
-            let format = self.format;
-            let view = self.store.view(slot as usize);
-            for &h in view.hashes {
-                self.signature_postings
-                    .entry(h)
-                    .or_insert_with(|| PostingList::new(format))
-                    .insert_sorted(slot);
+            for list in &mut self.buffer_postings {
+                list.renumber_from(slot);
             }
-            for pos in set_positions_in(view.buffer_words) {
-                self.buffer_postings[pos as usize].insert_sorted(slot);
-            }
+        }
+        let format = self.format;
+        let view = self.store.view(slot as usize);
+        for &h in view.hashes {
+            self.signature_postings
+                .entry(h)
+                .or_insert_with(|| PostingList::new(format))
+                .insert_sorted(slot);
+        }
+        for pos in set_positions_in(view.buffer_words) {
+            self.buffer_postings[pos as usize].insert_sorted(slot);
         }
         self.base + local_id
     }
@@ -372,7 +361,6 @@ impl ShardedIndex {
         num_shards: usize,
         words_per_record: usize,
         buffer_len: usize,
-        build_postings: bool,
         format: PostingFormat,
         threads: usize,
     ) -> Self {
@@ -383,7 +371,6 @@ impl ShardedIndex {
                 sketches,
                 words_per_record,
                 buffer_len,
-                build_postings,
                 format,
                 threads,
             )]
@@ -397,7 +384,6 @@ impl ShardedIndex {
                     &sketches[lo..hi],
                     words_per_record,
                     buffer_len,
-                    build_postings,
                     format,
                     1,
                 )
@@ -524,7 +510,7 @@ impl ShardedIndex {
     /// shard's storage first — every other shard stays shared untouched, so
     /// growing a cloned index costs O(tail shard + record), not O(index).
     /// The tail shard's epoch is restamped; clean shards keep theirs.
-    pub(crate) fn insert(&mut self, sketch: &GbKmvRecordSketch, build_postings: bool) -> usize {
+    pub(crate) fn insert(&mut self, sketch: &GbKmvRecordSketch) -> usize {
         // Infallible: `ShardedIndex::build` always creates at least one
         // shard (the empty dataset builds one empty shard) and shards are
         // never removed.
@@ -533,7 +519,7 @@ impl ShardedIndex {
             .len()
             .checked_sub(1)
             .expect("a ShardedIndex always has at least one shard");
-        let id = Arc::make_mut(&mut self.shards[tail]).insert(sketch, build_postings);
+        let id = Arc::make_mut(&mut self.shards[tail]).insert(sketch);
         self.epochs[tail] = next_stamp();
         id
     }
@@ -574,8 +560,7 @@ mod tests {
     fn shard_ranges_are_contiguous_and_cover_all_records() {
         let sk = sketches(23);
         for num_shards in [1, 2, 3, 5, 40] {
-            let index =
-                ShardedIndex::build(&sk, num_shards, 1, 2, true, PostingFormat::default(), 1);
+            let index = ShardedIndex::build(&sk, num_shards, 1, 2, PostingFormat::default(), 1);
             assert_eq!(index.len(), 23, "{num_shards} shards lost records");
             let mut next = 0usize;
             for shard in index.shards() {
@@ -597,7 +582,7 @@ mod tests {
     fn posting_lists_are_ascending_and_size_sorted() {
         let sk = sketches(30);
         for format in FORMATS {
-            let index = ShardedIndex::build(&sk, 3, 1, 2, true, format, 2);
+            let index = ShardedIndex::build(&sk, 3, 1, 2, format, 2);
             for shard in index.shards() {
                 let lists = shard
                     .signature_postings
@@ -621,8 +606,8 @@ mod tests {
     #[test]
     fn posting_formats_hold_identical_slot_sequences() {
         let sk = sketches(40);
-        let packed = ShardedIndex::build(&sk, 2, 1, 2, true, PostingFormat::Packed, 1);
-        let raw = ShardedIndex::build(&sk, 2, 1, 2, true, PostingFormat::Raw, 1);
+        let packed = ShardedIndex::build(&sk, 2, 1, 2, PostingFormat::Packed, 1);
+        let raw = ShardedIndex::build(&sk, 2, 1, 2, PostingFormat::Raw, 1);
         for (ps, rs) in packed.shards().iter().zip(raw.shards()) {
             assert_eq!(
                 ps.signature_postings.len(),
@@ -649,8 +634,8 @@ mod tests {
         // length, through bulk build and dynamic insert alike.
         let sk = sketches(30);
         for format in FORMATS {
-            let mut index = ShardedIndex::build(&sk, 3, 1, 2, true, format, 2);
-            index.insert(&sketches(31)[30], true);
+            let mut index = ShardedIndex::build(&sk, 3, 1, 2, format, 2);
+            index.insert(&sketches(31)[30]);
             for shard in index.shards() {
                 for (&h, list) in &shard.signature_postings {
                     assert_eq!(
@@ -669,8 +654,8 @@ mod tests {
         let sk = sketches(37);
         for format in FORMATS {
             for num_shards in [1, 4] {
-                let a = ShardedIndex::build(&sk, num_shards, 1, 2, true, format, 1);
-                let b = ShardedIndex::build(&sk, num_shards, 1, 2, true, format, 4);
+                let a = ShardedIndex::build(&sk, num_shards, 1, 2, format, 1);
+                let b = ShardedIndex::build(&sk, num_shards, 1, 2, format, 4);
                 assert_eq!(a, b, "{num_shards}-shard build varies with threads");
             }
         }
@@ -680,11 +665,11 @@ mod tests {
     fn insert_appends_to_tail_shard_and_matches_rebuild() {
         let sk = sketches(12);
         for format in FORMATS {
-            let mut grown = ShardedIndex::build(&sk[..9], 1, 1, 2, true, format, 1);
+            let mut grown = ShardedIndex::build(&sk[..9], 1, 1, 2, format, 1);
             for (i, s) in sk[9..].iter().enumerate() {
-                assert_eq!(grown.insert(s, true), 9 + i);
+                assert_eq!(grown.insert(s), 9 + i);
             }
-            let scratch_built = ShardedIndex::build(&sk, 1, 1, 2, true, format, 1);
+            let scratch_built = ShardedIndex::build(&sk, 1, 1, 2, format, 1);
             assert_eq!(grown, scratch_built, "insert diverged from rebuild");
         }
     }
@@ -698,11 +683,11 @@ mod tests {
         let mut sk = sketches(20);
         sk.sort_by_key(|s| std::cmp::Reverse(s.record_size));
         for format in FORMATS {
-            let mut grown = ShardedIndex::build(&sk[..1], 1, 1, 2, true, format, 1);
+            let mut grown = ShardedIndex::build(&sk[..1], 1, 1, 2, format, 1);
             for s in &sk[1..] {
-                grown.insert(s, true);
+                grown.insert(s);
             }
-            let bulk = ShardedIndex::build(&sk, 1, 1, 2, true, format, 1);
+            let bulk = ShardedIndex::build(&sk, 1, 1, 2, format, 1);
             assert_eq!(grown, bulk, "fast-path inserts diverged from rebuild");
         }
     }
@@ -710,8 +695,8 @@ mod tests {
     #[test]
     fn packed_postings_use_no_more_bytes_than_raw() {
         let sk = sketches(200);
-        let packed = ShardedIndex::build(&sk, 1, 1, 2, true, PostingFormat::Packed, 1);
-        let raw = ShardedIndex::build(&sk, 1, 1, 2, true, PostingFormat::Raw, 1);
+        let packed = ShardedIndex::build(&sk, 1, 1, 2, PostingFormat::Packed, 1);
+        let raw = ShardedIndex::build(&sk, 1, 1, 2, PostingFormat::Raw, 1);
         assert!(
             packed.posting_bytes() <= raw.posting_bytes(),
             "packed {} bytes vs raw {}",
@@ -723,7 +708,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_builds_one_empty_shard() {
-        let index = ShardedIndex::build(&[], 4, 0, 0, true, PostingFormat::default(), 0);
+        let index = ShardedIndex::build(&[], 4, 0, 0, PostingFormat::default(), 0);
         assert_eq!(index.shards().len(), 1);
         assert!(index.is_empty());
         assert_eq!(index.len(), 0);

@@ -77,40 +77,17 @@ fn summary_reports_space_within_budget() {
 }
 
 #[test]
-fn filtered_scan_and_baseline_agree_bitwise() {
+fn pipeline_and_scan_agree_bitwise() {
     let dataset = varied_dataset(120);
     let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.25));
     for qid in [0usize, 17, 63, 99] {
         let query = dataset.record(qid).clone();
         for t_star in [0.0, 0.2, 0.4, 0.8] {
             let scan = index.search_scan(&query, t_star);
-            let filt = index.search_filtered(&query, t_star);
-            let base = index.search_filtered_baseline(&query, t_star);
+            let filt = index.search_record(&query, t_star);
             assert_eq!(
                 scan, filt,
                 "query {qid} at t*={t_star}: pipeline diverged from scan"
-            );
-            assert_eq!(
-                scan, base,
-                "query {qid} at t*={t_star}: baseline diverged from scan"
-            );
-        }
-    }
-}
-
-#[test]
-fn pruning_ablation_is_bit_identical() {
-    let dataset = varied_dataset(140);
-    let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.25));
-    let mut pruned = QueryPipeline::new();
-    let mut unpruned = QueryPipeline::new().pruning(false);
-    for qid in (0..140).step_by(11) {
-        let query = dataset.record(qid);
-        for t_star in [0.0, 0.3, 0.6, 0.9] {
-            assert_eq!(
-                pruned.search(&index, query.elements(), t_star),
-                unpruned.search(&index, query.elements(), t_star),
-                "query {qid} at t*={t_star}: pruning changed the answer"
             );
         }
     }
@@ -119,31 +96,28 @@ fn pruning_ablation_is_bit_identical() {
 #[test]
 fn prefix_filter_ablation_is_bit_identical() {
     let dataset = varied_dataset(140);
-    let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.25).shards(2));
-    let mut with_prefix = QueryPipeline::new();
-    let mut without = QueryPipeline::new().prefix_filter(false);
+    let config = GbKmvConfig::with_space_fraction(0.25).shards(2);
+    let index = GbKmvIndex::build(&dataset, config);
+    let unfiltered = GbKmvIndex::build(&dataset, config.prefix_filter(false));
+    // One pipeline serves both indexes: the prefix setting is read from the
+    // index searched, not from the pipeline.
+    let mut pipeline = QueryPipeline::new();
     for qid in (0..140).step_by(11) {
         let query = dataset.record(qid);
         for t_star in [0.0, 0.3, 0.6, 0.9] {
+            let expected = index.search_record(query, t_star);
             assert_eq!(
-                with_prefix.search(&index, query.elements(), t_star),
-                without.search(&index, query.elements(), t_star),
+                unfiltered.search_record(query, t_star),
+                expected,
                 "query {qid} at t*={t_star}: prefix filter changed the answer"
+            );
+            assert_eq!(
+                pipeline.search(&unfiltered, query.elements(), t_star),
+                expected,
+                "query {qid} at t*={t_star}: pipeline over the unfiltered index diverged"
             );
         }
     }
-    // The config-level ablation routes the public entry points identically.
-    let unfiltered_index = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(0.25)
-            .shards(2)
-            .prefix_filter(false),
-    );
-    let query = dataset.record(23);
-    assert_eq!(
-        index.search_filtered(query, 0.5),
-        unfiltered_index.search_filtered(query, 0.5)
-    );
 }
 
 #[test]
@@ -162,11 +136,6 @@ fn prefix_filter_agrees_when_query_signature_is_absent_from_index() {
             scan,
             "absent query at t*={t_star}: prefix pipeline diverged from scan"
         );
-        assert_eq!(
-            index.search_parallel(absent.elements(), t_star),
-            scan,
-            "absent query at t*={t_star}: parallel path diverged from scan"
-        );
         if t_star > 0.0 {
             assert!(
                 scan.is_empty(),
@@ -174,57 +143,6 @@ fn prefix_filter_agrees_when_query_signature_is_absent_from_index() {
             );
         }
     }
-}
-
-#[test]
-fn search_parallel_matches_sequential_for_any_thread_count() {
-    // Large enough that the live range exceeds PARALLEL_MIN_LIVE_SLOTS and
-    // the worker-spawning path genuinely runs (also exercised at small
-    // scale below, where the sequential degrade kicks in).
-    let big = varied_dataset(6000);
-    let small = varied_dataset(80);
-    for (dataset, shards) in [(&big, 1usize), (&big, 3), (&small, 2)] {
-        let index = GbKmvIndex::build(
-            dataset,
-            GbKmvConfig::with_space_fraction(0.2).shards(shards),
-        );
-        for qid in (0..dataset.len()).step_by(dataset.len() / 4 + 1) {
-            let query = dataset.record(qid);
-            for t_star in [0.0, 0.1, 0.5, 0.9] {
-                let expected = index.search_record(query, t_star);
-                for threads in [1usize, 2, 5] {
-                    assert_eq!(
-                        index.search_parallel_threads(query.elements(), t_star, threads),
-                        expected,
-                        "parallel search with {threads} threads / {shards} shards diverged \
-                         (query {qid}, t*={t_star}, {} records)",
-                        dataset.len()
-                    );
-                }
-            }
-        }
-        // The trait route (default-overriding impl) answers identically.
-        let boxed: &dyn ContainmentIndex = &index;
-        let query = dataset.record(1);
-        assert_eq!(
-            boxed.search_parallel(query.elements(), 0.5),
-            index.search_record(query, 0.5)
-        );
-    }
-}
-
-#[test]
-fn search_parallel_falls_back_to_scan_without_candidate_filter() {
-    let dataset = skewed_dataset(60);
-    let index = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(0.25).candidate_filter(false),
-    );
-    let query = dataset.record(9);
-    assert_eq!(
-        index.search_parallel(query.elements(), 0.5),
-        index.search_scan(query, 0.5)
-    );
 }
 
 #[test]
@@ -241,8 +159,8 @@ fn sharded_index_answers_are_bit_identical_to_unsharded() {
             let query = dataset.record(qid);
             for t_star in [0.0, 0.4, 0.8] {
                 assert_eq!(
-                    unsharded.search_filtered(query, t_star),
-                    sharded.search_filtered(query, t_star),
+                    unsharded.search_record(query, t_star),
+                    sharded.search_record(query, t_star),
                     "query {qid} at t*={t_star}: {shards}-shard answer diverged"
                 );
             }
@@ -256,7 +174,7 @@ fn sharded_index_answers_are_bit_identical_to_unsharded() {
 }
 
 #[test]
-fn batch_search_matches_single_queries_for_any_thread_count() {
+fn batch_search_matches_single_queries() {
     let dataset = varied_dataset(90);
     for shards in [1usize, 3] {
         let index = GbKmvIndex::build(
@@ -268,40 +186,15 @@ fn batch_search_matches_single_queries_for_any_thread_count() {
             .iter()
             .map(|q| index.search_record(q, 0.5))
             .collect();
-        for threads in [1usize, 2, 5] {
-            assert_eq!(
-                index.search_batch_threads(&queries, 0.5, threads),
-                expected,
-                "batch with {threads} threads / {shards} shards diverged"
-            );
-        }
+        assert_eq!(
+            index.search_batch(&queries, 0.5),
+            expected,
+            "batch on {shards} shards diverged"
+        );
         // The trait route (default-overriding impl) answers identically.
         let boxed: &dyn ContainmentIndex = &index;
         assert_eq!(boxed.search_batch(&queries, 0.5), expected);
     }
-}
-
-#[test]
-fn filtered_paths_fall_back_to_scan_without_candidate_filter() {
-    // With the candidate filter disabled no postings are built; the
-    // public filtered entry points must answer via the scan instead of
-    // an empty candidate set.
-    let dataset = skewed_dataset(60);
-    let index = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(0.25).candidate_filter(false),
-    );
-    let query = dataset.record(9);
-    let scan = index.search_scan(query, 0.5);
-    assert!(!scan.is_empty());
-    assert_eq!(index.search_filtered(query, 0.5), scan);
-    assert_eq!(index.search_filtered_baseline(query, 0.5), scan);
-    let mut scratch = QueryScratch::new();
-    assert_eq!(index.search_filtered_with(query, 0.5, &mut scratch), scan);
-    assert_eq!(
-        index.search_batch(std::slice::from_ref(query), 0.5),
-        vec![scan]
-    );
 }
 
 #[test]
@@ -312,8 +205,7 @@ fn results_are_sorted_by_record_id() {
         let query = dataset.record(qid);
         for hits in [
             index.search_scan(query, 0.3),
-            index.search_filtered(query, 0.3),
-            index.search_filtered_baseline(query, 0.3),
+            index.search_record(query, 0.3),
         ] {
             assert!(
                 hits.windows(2).all(|w| w[0].record_id < w[1].record_id),
@@ -341,12 +233,11 @@ fn parallel_build_is_identical_to_sequential() {
 fn scratch_reuse_across_queries_matches_fresh_scratch() {
     let dataset = varied_dataset(100);
     let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.25));
-    let mut reused = QueryScratch::new();
+    let mut reused = QueryPipeline::new();
     for qid in 0..100 {
         let query = dataset.record(qid);
-        let with_reuse = index.search_filtered_with(query, 0.4, &mut reused);
-        let mut fresh = QueryScratch::new();
-        let with_fresh = index.search_filtered_with(query, 0.4, &mut fresh);
+        let with_reuse = reused.search(&index, query.elements(), 0.4);
+        let with_fresh = QueryPipeline::new().search(&index, query.elements(), 0.4);
         assert_eq!(
             with_reuse, with_fresh,
             "query {qid}: reused scratch leaked state from earlier queries"
@@ -355,17 +246,14 @@ fn scratch_reuse_across_queries_matches_fresh_scratch() {
 }
 
 #[test]
-fn search_elements_handles_unsorted_and_duplicated_input() {
+fn search_handles_unsorted_and_duplicated_input() {
     let dataset = skewed_dataset(60);
     let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.3));
     let sorted: Vec<u32> = dataset.record(5).elements().to_vec();
     let mut shuffled = sorted.clone();
     shuffled.reverse();
     shuffled.push(sorted[0]); // duplicate
-    assert_eq!(
-        index.search_elements(&sorted, 0.5),
-        index.search_elements(&shuffled, 0.5)
-    );
+    assert_eq!(index.search(&sorted, 0.5), index.search(&shuffled, 0.5));
 }
 
 #[test]
@@ -514,7 +402,7 @@ fn insert_keeps_sharded_answers_consistent() {
             let query = base.record(qid);
             for t_star in [0.3, 0.7] {
                 assert_eq!(
-                    index.search_filtered(query, t_star),
+                    index.search_record(query, t_star),
                     index.search_scan(query, t_star),
                     "{shards}-shard grown index: pipeline diverged from scan"
                 );
@@ -522,7 +410,7 @@ fn insert_keeps_sharded_answers_consistent() {
         }
         for record in &extra {
             assert_eq!(
-                index.search_filtered(record, 0.6),
+                index.search_record(record, 0.6),
                 index.search_scan(record, 0.6),
                 "{shards}-shard grown index: inserted-record query diverged"
             );
@@ -568,25 +456,25 @@ fn topk_returns_best_records_in_order() {
 }
 
 #[test]
-fn topk_matches_between_filtered_and_scan_modes() {
+fn topk_matches_sorted_scan() {
     let dataset = skewed_dataset(80);
-    let filtered = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.4));
-    let scan = GbKmvIndex::build(
-        &dataset,
-        GbKmvConfig::with_space_fraction(0.4).candidate_filter(false),
-    );
+    let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.4));
     let query = dataset.record(7);
-    let a: Vec<usize> = filtered
+    let top: Vec<usize> = index
         .search_topk(query, 10)
         .iter()
         .map(|h| h.record_id)
         .collect();
-    let b: Vec<usize> = scan
-        .search_topk(query, 10)
-        .iter()
-        .map(|h| h.record_id)
-        .collect();
-    assert_eq!(a, b);
+    // Reference: every record's estimate off the scan, ranked by
+    // (containment desc, record id asc).
+    let mut ranked = index.search_scan(query, 0.0);
+    ranked.sort_by(|a, b| {
+        b.estimated_containment
+            .total_cmp(&a.estimated_containment)
+            .then_with(|| a.record_id.cmp(&b.record_id))
+    });
+    let reference: Vec<usize> = ranked.iter().take(10).map(|h| h.record_id).collect();
+    assert_eq!(top, reference);
 }
 
 #[test]
@@ -635,30 +523,6 @@ fn posting_formats_return_identical_hits_and_packed_shrinks_memory() {
         pb * 2 <= rb,
         "packed postings ({pb} bytes) are not under half the raw ones ({rb} bytes)"
     );
-}
-
-#[test]
-fn search_auto_matches_search_for_every_workload_shape() {
-    let dataset = varied_dataset(150);
-    let index = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.3).shards(3));
-    let queries: Vec<Record> = (0..5).map(|i| dataset.record(i * 29).clone()).collect();
-    for t_star in [0.0, 0.4, 0.8] {
-        let expected: Vec<Vec<SearchHit>> = queries
-            .iter()
-            .map(|q| index.search_record(q, t_star))
-            .collect();
-        // Multi-query, single-query and empty workloads all agree with the
-        // per-query reference, whatever schedule the cost model picks.
-        assert_eq!(index.search_auto(&queries, t_star), expected);
-        assert_eq!(
-            index.search_auto(std::slice::from_ref(&queries[0]), t_star),
-            expected[..1]
-        );
-        assert!(index.search_auto(&[], t_star).is_empty());
-        // And through the trait, including its default implementation.
-        let boxed: &dyn ContainmentIndex = &index;
-        assert_eq!(boxed.search_auto(&queries, t_star), expected);
-    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! rebuilding — no re-hashing, no per-record decode, no re-encoding of
 //! posting blocks.
 //!
-//! # File layout (format version 2)
+//! # File layout (format version 3)
 //!
 //! ```text
 //! offset 0   ┌────────────────────────────────────────────────┐
@@ -100,7 +100,7 @@ use crate::hash::{mix64, Hasher64};
 use crate::index::postings::{BlockMeta, PackedList, PostingList};
 use crate::index::sharded::Shard;
 use crate::index::{
-    BufferSizing, FinishKernel, GbKmvConfig, GbKmvIndex, IndexSummary, PostingFormat, ShardedIndex,
+    BufferSizing, GbKmvConfig, GbKmvIndex, IndexSummary, PostingFormat, ShardedIndex,
 };
 use crate::store::{RecordMeta, SketchStore};
 
@@ -108,8 +108,10 @@ use crate::store::{RecordMeta, SketchStore};
 /// little-endian integer).
 pub const ARENA_MAGIC: u64 = u64::from_le_bytes(*b"GBKMVAR1");
 
-/// Format version this build writes and reads.
-pub const ARENA_VERSION: u64 = 2;
+/// Format version this build writes and reads. Version 3 dropped the
+/// candidate-filter and finish-kernel bytes from the config stream, so a
+/// version-2 image is refused rather than misread.
+pub const ARENA_VERSION: u64 = 3;
 
 /// Header word whose *native* byte interpretation must match: a file
 /// written on a little-endian machine refuses to load where the zero-copy
@@ -276,13 +278,6 @@ fn format_tag(format: PostingFormat) -> u8 {
     }
 }
 
-fn kernel_tag(kernel: FinishKernel) -> u8 {
-    match kernel {
-        FinishKernel::Vectorized => 0,
-        FinishKernel::Scalar => 1,
-    }
-}
-
 fn write_config(out: &mut Vec<u8>, c: &GbKmvConfig) {
     put_f64(out, c.space_fraction);
     match c.budget_elements {
@@ -306,12 +301,10 @@ fn write_config(out: &mut Vec<u8>, c: &GbKmvConfig) {
         }
     }
     put_u64(out, c.hash_seed);
-    put_u8(out, u8::from(c.use_candidate_filter));
     put_u8(out, u8::from(c.use_prefix_filter));
     put_u64(out, c.threads as u64);
     put_u64(out, c.shards as u64);
     put_u8(out, format_tag(c.posting_format));
-    put_u8(out, kernel_tag(c.finish_kernel));
     put_u64(out, c.cost_model.grid_step as u64);
     put_u64(out, c.cost_model.max_buffer_size as u64);
     put_u64(out, c.cost_model.pair_sample_size as u64);
@@ -518,16 +511,10 @@ fn read_config(cur: &mut MetaCursor) -> Result<GbKmvConfig> {
         _ => return Err(corrupt("invalid buffer-sizing tag")),
     };
     let hash_seed = cur.u64()?;
-    let use_candidate_filter = cur.bool()?;
     let use_prefix_filter = cur.bool()?;
     let threads = to_usize(cur.u64()?)?;
     let shards = to_usize(cur.u64()?)?;
     let posting_format = read_format(cur)?;
-    let finish_kernel = match cur.u8()? {
-        0 => FinishKernel::Vectorized,
-        1 => FinishKernel::Scalar,
-        _ => return Err(corrupt("invalid finish-kernel tag")),
-    };
     let cost_model = CostModelConfig {
         grid_step: to_usize(cur.u64()?)?,
         max_buffer_size: to_usize(cur.u64()?)?,
@@ -539,12 +526,10 @@ fn read_config(cur: &mut MetaCursor) -> Result<GbKmvConfig> {
         budget_elements,
         buffer,
         hash_seed,
-        use_candidate_filter,
         use_prefix_filter,
         threads,
         shards,
         posting_format,
-        finish_kernel,
         cost_model,
         ingest_batch,
     })
@@ -1548,7 +1533,7 @@ mod tests {
             GbKmvConfig::with_space_fraction(0.6),
             GbKmvConfig::with_space_fraction(0.6).shards(3),
             GbKmvConfig::with_space_fraction(0.6).posting_format(PostingFormat::Raw),
-            GbKmvConfig::with_space_fraction(0.6).candidate_filter(false),
+            GbKmvConfig::with_space_fraction(0.6).prefix_filter(false),
             GbKmvConfig::with_space_fraction(0.6).buffer_size(0),
         ]
     }
@@ -1628,16 +1613,18 @@ mod tests {
 
     #[test]
     fn wrong_version_is_typed() {
-        let mut bytes = build(GbKmvConfig::with_space_fraction(0.5)).to_arena_bytes();
-        bytes[8] = 99;
-        match GbKmvIndex::from_arena_bytes(&bytes) {
-            Err(Error::PersistVersion {
-                found: 99,
-                supported,
-            }) => {
-                assert_eq!(supported, ARENA_VERSION);
+        // 99: a future format; 2: the previous format, whose config stream
+        // carried two bytes this version no longer reads.
+        for version in [99u8, 2] {
+            let mut bytes = build(GbKmvConfig::with_space_fraction(0.5)).to_arena_bytes();
+            bytes[8] = version;
+            match GbKmvIndex::from_arena_bytes(&bytes) {
+                Err(Error::PersistVersion { found, supported }) => {
+                    assert_eq!(found, u64::from(version));
+                    assert_eq!(supported, ARENA_VERSION);
+                }
+                other => panic!("expected PersistVersion for {version}, got {other:?}"),
             }
-            other => panic!("expected PersistVersion, got {other:?}"),
         }
     }
 

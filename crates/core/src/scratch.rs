@@ -34,10 +34,9 @@ pub struct QueryScratch {
     /// Reusable block-decode buffer of the posting walk: block-compressed
     /// posting lists ([`crate::index::postings::PostingList`]) decode each
     /// surviving block into this buffer, so traversal allocates nothing
-    /// after the first query. The vectorized finish kernel
-    /// ([`crate::index::candidates::FinishKernel::Vectorized`]) consumes it
-    /// one whole chunk at a time through the batched accumulate methods
-    /// below.
+    /// after the first query. The candidates stage
+    /// ([`crate::index::candidates`]) consumes it one whole chunk at a time
+    /// through the batched accumulate methods below.
     pub(crate) block_decode: Vec<u32>,
 }
 
@@ -149,7 +148,7 @@ impl QueryScratch {
     }
 
     /// Batched [`QueryScratch::add_signature_hit_if_candidate`], the hot
-    /// pass of the vectorized kernel: the lookup-only accumulate is
+    /// pass of the candidates stage: the lookup-only accumulate is
     /// **branch-free** per slot — `K∩[i] += (stamp[i] == epoch)` adds zero
     /// to non-candidates instead of branching around them — so the four
     /// lanes per iteration carry no data-dependent branches at all and
@@ -336,7 +335,7 @@ mod tests {
 
     #[test]
     fn batched_accumulates_match_per_slot_calls() {
-        // The vectorized kernel's batched methods must leave the scratch in
+        // The candidates stage's batched methods must leave the scratch in
         // exactly the state the scalar per-slot calls produce — including
         // first-touch order and remainder handling (lengths not ≡ 0 mod 4).
         let chunks: [&[u32]; 3] = [&[9, 1, 4, 7, 2], &[1, 4, 11, 0], &[2]];

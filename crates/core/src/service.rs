@@ -291,9 +291,9 @@ impl ContainmentService {
         pending.len()
     }
 
-    /// [`GbKmvIndex::search_elements`] against the current snapshot.
+    /// [`ContainmentIndex::search`] against the current snapshot.
     pub fn search(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        self.snapshot().search_elements(query, t_star)
+        self.snapshot().search(query, t_star)
     }
 
     /// [`GbKmvIndex::search_batch`] against one consistent snapshot: the
@@ -311,14 +311,6 @@ impl ContainmentIndex for ContainmentService {
 
     fn search_batch(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
         ContainmentService::search_batch(self, queries, t_star)
-    }
-
-    fn search_parallel(&self, query: &[ElementId], t_star: f64) -> Vec<SearchHit> {
-        self.snapshot().search_parallel(query, t_star)
-    }
-
-    fn search_auto(&self, queries: &[Record], t_star: f64) -> Vec<Vec<SearchHit>> {
-        self.snapshot().search_auto(queries, t_star)
     }
 
     fn space_elements(&self) -> f64 {
@@ -381,8 +373,8 @@ mod tests {
         let snap = service.snapshot();
         let query: Vec<u32> = all.records()[3].elements().to_vec();
         assert_eq!(
-            snap.search_elements(&query, 0.3),
-            scratch.search_elements(&query, 0.3),
+            snap.search(&query, 0.3),
+            scratch.search(&query, 0.3),
             "service generation diverged from build-from-scratch"
         );
         assert_eq!(snap.num_records(), scratch.num_records());
@@ -455,7 +447,7 @@ mod tests {
         let query: Vec<u32> = dataset(10).records()[2].elements().to_vec();
         assert_eq!(
             reopened.search(&query, 0.3),
-            GbKmvIndex::build(&dataset(10), config()).search_elements(&query, 0.3),
+            GbKmvIndex::build(&dataset(10), config()).search(&query, 0.3),
             "reopened service diverged from build-from-scratch"
         );
         // The reopened service keeps ingesting through the same path.
@@ -577,7 +569,7 @@ mod tests {
         let via_trait: &dyn ContainmentIndex = &service;
         assert_eq!(
             via_trait.search(query.elements(), 0.4),
-            direct.search_elements(query.elements(), 0.4)
+            direct.search(query.elements(), 0.4)
         );
         assert_eq!(via_trait.name(), "GB-KMV/service");
         assert!(via_trait.space_elements() > 0.0);

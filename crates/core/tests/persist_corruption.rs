@@ -8,7 +8,7 @@
 //! — not just the checksums — are what's exercised.
 
 use gbkmv_core::dataset::Dataset;
-use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, PostingFormat};
+use gbkmv_core::index::{ContainmentIndex, GbKmvConfig, GbKmvIndex, PostingFormat};
 use gbkmv_core::persist::{rewrite_checksum, ARENA_MAGIC, ARENA_VERSION};
 use gbkmv_core::Error;
 
@@ -131,7 +131,7 @@ fn checksum_valid_structural_corruption_is_still_rejected() {
                 // but structurally sound — the index must still serialize
                 // and answer queries without panicking.
                 let _ = loaded.to_arena_bytes();
-                let _ = loaded.search_elements(&[1, 2, 3, 50, 700], 0.3);
+                let _ = loaded.search(&[1, 2, 3, 50, 700], 0.3);
             }
         }
     }
@@ -185,7 +185,7 @@ fn delta_produced_images_reject_corruption_like_full_ones() {
             Ok(loaded) => {
                 // Content-only mutation: must stay structurally usable.
                 let _ = loaded.to_arena_bytes();
-                let _ = loaded.search_elements(&[1, 2, 3, 50, 700], 0.3);
+                let _ = loaded.search(&[1, 2, 3, 50, 700], 0.3);
             }
         }
     }

@@ -6,7 +6,7 @@
 //! bit-identical to the same inserts applied to the built index.
 
 use gbkmv_core::dataset::{Dataset, Record};
-use gbkmv_core::index::{FinishKernel, GbKmvConfig, GbKmvIndex, PostingFormat};
+use gbkmv_core::index::{GbKmvConfig, GbKmvIndex, PostingFormat};
 use gbkmv_core::service::ContainmentService;
 
 fn dataset(n: usize) -> Dataset {
@@ -32,16 +32,12 @@ fn configs() -> Vec<(&'static str, GbKmvConfig)> {
                 .posting_format(PostingFormat::Raw),
         ),
         (
-            "no-candidate-filter",
-            GbKmvConfig::with_space_fraction(0.4).candidate_filter(false),
+            "no-prefix-filter",
+            GbKmvConfig::with_space_fraction(0.4).prefix_filter(false),
         ),
         (
             "no-buffer",
             GbKmvConfig::with_space_fraction(0.4).buffer_size(0),
-        ),
-        (
-            "scalar-kernel",
-            GbKmvConfig::with_space_fraction(0.4).finish_kernel(FinishKernel::Scalar),
         ),
         ("saturated", GbKmvConfig::with_space_fraction(2.0)),
     ]

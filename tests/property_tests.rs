@@ -136,18 +136,14 @@ proptest! {
     fn gbkmv_filtered_search_matches_scan(records in dataset_strategy(30), t in 0.2f64..0.9) {
         let dataset = Dataset::from_records(records);
         let filtered = GbKmvIndex::build(&dataset, GbKmvConfig::with_space_fraction(0.5));
-        let scan = GbKmvIndex::build(
-            &dataset,
-            GbKmvConfig::with_space_fraction(0.5).candidate_filter(false),
-        );
         let query = dataset.record(dataset.len() / 2).clone();
         let mut a: Vec<usize> = filtered
             .search(query.elements(), t)
             .iter()
             .map(|h| h.record_id)
             .collect();
-        let mut b: Vec<usize> = scan
-            .search(query.elements(), t)
+        let mut b: Vec<usize> = filtered
+            .search_scan(&query, t)
             .iter()
             .map(|h| h.record_id)
             .collect();
